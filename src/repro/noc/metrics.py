@@ -11,7 +11,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.noc.routing import DimensionOrderedRouting
 from repro.noc.topology import GridTopology
 from repro.utils.validation import check_positive
 
@@ -25,22 +24,18 @@ def average_hop_count(topology: GridTopology) -> float:
     n_modules = topology.n_modules
     if n_modules < 2:
         return 0.0
-    routing = DimensionOrderedRouting(topology)
-    total = 0.0
-    # Aggregate modules by router: hop count only depends on the routers.
+    # Aggregate modules by router: the dimension-ordered hop count is the
+    # Manhattan distance of the routers.  Module pairs on one router add
+    # no hops, every other router pair stands for c*c module pairs.  The
+    # totals are integers, so the mean is exact.
     concentration = topology.concentration
     n_routers = topology.n_routers
-    pair_count = 0
-    for source_router in range(n_routers):
-        for destination_router in range(n_routers):
-            hops = routing.hop_count(source_router, destination_router)
-            if source_router == destination_router:
-                pairs = concentration * (concentration - 1)
-            else:
-                pairs = concentration * concentration
-            total += hops * pairs
-            pair_count += pairs
-    return total / pair_count
+    router_hops = sum(int(np.abs(axis[:, None] - axis[None, :]).sum())
+                      for axis in topology.router_coordinates().T)
+    total = router_hops * concentration * concentration
+    pair_count = n_routers * concentration * (
+        concentration - 1 + (n_routers - 1) * concentration)
+    return float(total) / pair_count
 
 
 def zero_load_latency(topology: GridTopology,
@@ -67,13 +62,11 @@ def bisection_links(topology: GridTopology) -> int:
     dimensions = topology.dimensions
     longest_axis = int(np.argmax(dimensions))
     cut_position = dimensions[longest_axis] // 2
-    count = 0
-    for upstream, downstream in topology.links():
-        a = topology.router_coordinate(upstream)[longest_axis]
-        b = topology.router_coordinate(downstream)[longest_axis]
-        if min(a, b) < cut_position <= max(a, b):
-            count += 1
-    return count
+    links = np.array(list(topology.links()), dtype=np.int64).reshape(-1, 2)
+    ends = topology.router_coordinates()[links, longest_axis]
+    crossing = ((ends.min(axis=1) < cut_position)
+                & (cut_position <= ends.max(axis=1)))
+    return int(crossing.sum())
 
 
 def bisection_bandwidth_per_module(topology: GridTopology,

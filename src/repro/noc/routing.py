@@ -70,8 +70,7 @@ class DimensionOrderedRouting:
         """
         topology = self.topology
         n_routers = topology.n_routers
-        coordinates = np.array([topology.router_coordinate(router)
-                                for router in range(n_routers)], dtype=np.int64)
+        coordinates = topology.router_coordinates()
         strides = np.asarray(topology.strides, dtype=np.int64)
         # dest - current over all pairs; the first non-matching axis is the
         # one dimension-ordered routing corrects next.

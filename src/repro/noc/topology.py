@@ -119,6 +119,11 @@ class GridTopology:
             remaining //= size
         return tuple(coordinate)
 
+    def router_coordinates(self) -> np.ndarray:
+        """Grid coordinates of all routers, ``(n_routers, n_dimensions)``."""
+        return np.array(self._coordinates, dtype=np.int64).reshape(
+            self.n_routers, self.n_dimensions)
+
     def coordinate_to_router(self, coordinate: Sequence[int]) -> int:
         """Router index for a grid coordinate."""
         coordinate = tuple(int(c) for c in coordinate)

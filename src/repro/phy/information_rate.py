@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.phy.channel_model import OversampledOneBitChannel
 from repro.phy.modulation import AskConstellation
@@ -161,6 +160,15 @@ def one_bit_no_oversampling_rate(snr_db: float,
     return symbolwise_information_rate(pulse, snr_db, constellation)
 
 
+def _normal_pdf(x: np.ndarray, mean: float, std: float) -> np.ndarray:
+    """Gaussian density, evaluated exactly as ``scipy.stats.norm.pdf``.
+
+    Written out so importing this module does not load ``scipy.stats``.
+    """
+    z = (x - mean) / std
+    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / std
+
+
 def ask_awgn_information_rate(snr_db: float,
                               constellation: Optional[AskConstellation] = None,
                               n_quadrature: int = 129) -> float:
@@ -186,8 +194,8 @@ def ask_awgn_information_rate(snr_db: float,
         y = level + sigma * nodes
         mixture = np.zeros_like(y)
         for other in levels:
-            mixture += norm.pdf(y, loc=other, scale=sigma) / order
-        conditional = norm.pdf(y, loc=level, scale=sigma)
+            mixture += _normal_pdf(y, other, sigma) / order
+        conditional = _normal_pdf(y, level, sigma)
         integrand = np.log2(conditional / mixture)
         rate += (weights * integrand).sum() / order
     return float(np.clip(rate, 0.0, constellation.bits_per_symbol))

@@ -227,6 +227,54 @@ class TestRoutingProperties:
                 assert int(table[source, destination]) == expected
 
 
+def _registry_topologies():
+    """Every NoC topology a registry scenario builds, keyed by its name."""
+    from repro.scenarios.registry import build_scenario, scenario_names
+    from repro.scenarios.specs import NocSpec
+
+    topologies = {}
+    for name in scenario_names():
+        scenario = build_scenario(name)
+        for spec in scenario.specs.values():
+            if not isinstance(spec, NocSpec):
+                continue
+            # mesh3d-scaling sweeps the 3D-mesh shape per point.
+            shapes = [tuple(int(v) for v in point["dimensions"].split("x"))
+                      for point in scenario.points if "dimensions" in point]
+            specs = [spec] + [spec.replace(topology="mesh3d", concentration=1,
+                                           dimensions=shape)
+                              for shape in shapes]
+            for variant in specs:
+                topology = variant.make_topology()
+                topologies[topology.name] = topology
+    return topologies
+
+
+@pytest.mark.parametrize("routing_class",
+                         [DimensionOrderedRouting, ShortestPathRouting])
+def test_walking_the_next_router_table_reproduces_router_path(routing_class):
+    # The analytic model routes by walking next_router_table(); that is
+    # only sound if the walk visits exactly the routers of router_path().
+    # Every pair is checked up to 144 routers; on the 512-router meshes
+    # every 16th source router is checked against every destination.
+    topologies = _registry_topologies()
+    assert {"8x8 2D mesh", "32x16 2D mesh", "8x8x8 3D mesh",
+            "6x6x4 3D mesh"} <= set(topologies)
+    for topology in topologies.values():
+        routing = routing_class(topology)
+        table = routing.next_router_table().tolist()
+        n_routers = topology.n_routers
+        stride = 1 if n_routers <= 144 else 16
+        for source in range(0, n_routers, stride):
+            for destination in range(n_routers):
+                walk = [source]
+                while walk[-1] != destination:
+                    assert len(walk) <= n_routers, topology.name
+                    walk.append(table[walk[-1]][destination])
+                assert walk == routing.router_path(source, destination), \
+                    (topology.name, source, destination)
+
+
 class TestTrafficRateProperties:
     @given(mesh_dimensions, concentrations,
            st.floats(min_value=1e-6, max_value=1.0))
